@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, data, labels, anomaly.Config{})
+	det, err := anomaly.Fit(anomaly.NewGHSOMQuantizer(ghsom.CompileModel(model)), data, labels, anomaly.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestGHSOMQuantizerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := GHSOMQuantizer{Model: model}
+	q := NewGHSOMQuantizer(core.Compile(model))
 	det, err := Fit(q, data, labels, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +48,16 @@ func TestGHSOMQuantizerEndToEnd(t *testing.T) {
 	if p := det.Classify([]float64{10, 10}); !p.Attack || p.Label != "neptune" {
 		t.Errorf("attack center missed: %+v", p)
 	}
-	// CellWeight reconstructs the routed prototype.
+	// The cell is the tree walk's placement, and CellWeight reconstructs
+	// the tree's prototype for it.
 	cell, _ := q.Quantize([]float64{0, 0})
-	w := q.CellWeight(cell)
-	if w == nil || len(w) != 2 {
-		t.Fatalf("CellWeight(%q) = %v", cell, w)
+	p := model.RouteTrained([]float64{0, 0})
+	if cell != p.Key().String() {
+		t.Fatalf("Quantize cell %q, tree placement %v", cell, p.Key())
+	}
+	w, want := q.CellWeight(cell), model.NearestUnitWeight(p.Key())
+	if len(w) != 2 || w[0] != want[0] || w[1] != want[1] {
+		t.Fatalf("CellWeight(%q) = %v, tree weight %v", cell, w, want)
 	}
 	if q.CellWeight("not-a-cell") != nil {
 		t.Error("malformed cell should yield nil weight")

@@ -104,8 +104,8 @@ func TestClassifyBatchValidation(t *testing.T) {
 }
 
 // TestGHSOMQuantizeBatchMatchesQuantize verifies the GHSOM adapter's batch
-// path (with cached cell names) equals per-row Quantize, and that the
-// cached names are identical to the composite-literal fallback's.
+// path (with cached cell names) and per-row Quantize both equal the tree
+// walk's RouteTrained placement, the reference oracle.
 func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	data, _ := tinyClusters(5, 60)
 	cfg := core.DefaultConfig()
@@ -118,7 +118,6 @@ func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := NewGHSOMQuantizer(core.Compile(model))
-	plain := GHSOMQuantizer{Model: model}
 	rng := rand.New(rand.NewSource(6))
 	n := 150
 	rows := make([][]float64, n)
@@ -129,14 +128,15 @@ func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	out := make([]CellQE, n)
 	cached.QuantizeBatch(flat, n, d, out)
 	for i := range rows {
-		wantCell, wantQE := plain.Quantize(rows[i])
+		p := model.RouteTrained(rows[i])
+		wantCell, wantQE := p.Key().String(), p.QE
 		if out[i].Cell != wantCell || out[i].QE != wantQE {
-			t.Fatalf("row %d: batch (%q, %v), per-row (%q, %v)",
+			t.Fatalf("row %d: batch (%q, %v), tree (%q, %v)",
 				i, out[i].Cell, out[i].QE, wantCell, wantQE)
 		}
 		gotCell, gotQE := cached.Quantize(rows[i])
 		if gotCell != wantCell || gotQE != wantQE {
-			t.Fatalf("row %d: cached (%q, %v), plain (%q, %v)", i, gotCell, gotQE, wantCell, wantQE)
+			t.Fatalf("row %d: per-row (%q, %v), tree (%q, %v)", i, gotCell, gotQE, wantCell, wantQE)
 		}
 	}
 	// Dimension-mismatch rows keep Quantize's sentinel cell via fallback.

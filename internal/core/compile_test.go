@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ghsom/internal/vecmath"
 )
 
 // compileTestModel trains a deep-ish hierarchy for compilation tests.
@@ -38,28 +40,21 @@ func queryMix(data [][]float64, seed int64) [][]float64 {
 }
 
 // TestCompiledRouteEquivalence pins the core guarantee: the compiled
-// table-driven descent produces placements byte-identical to the pointer
-// tree walk, for both full-map and effective-codebook routing.
+// table-driven descent produces effective-codebook placements
+// byte-identical to the pointer tree walk.
 func TestCompiledRouteEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		g, data := compileTestModel(t, seed, 60)
 		c := Compile(g)
 		for i, x := range queryMix(data, seed+1) {
-			want, got := g.Route(x), c.Route(x)
+			want, got := g.RouteTrained(x), c.RouteTrained(x)
 			if !placementsBitIdentical(want, got) {
-				t.Fatalf("seed %d query %d: Route tree %+v, compiled %+v", seed, i, want, got)
-			}
-			wantT, gotT := g.RouteTrained(x), c.RouteTrained(x)
-			if !placementsBitIdentical(wantT, gotT) {
-				t.Fatalf("seed %d query %d: RouteTrained tree %+v, compiled %+v", seed, i, wantT, gotT)
+				t.Fatalf("seed %d query %d: RouteTrained tree %+v, compiled %+v", seed, i, want, got)
 			}
 		}
 		// Dimension mismatch sentinel.
 		bad := []float64{1, 2, 3}
-		if p := c.Route(bad); p.NodeID != -1 || p.Unit != -1 || !math.IsNaN(p.QE) {
-			t.Fatalf("dim mismatch Route = %+v", p)
-		}
-		if p := c.RouteTrained(bad); p.NodeID != -1 || !math.IsNaN(p.QE) {
+		if p := c.RouteTrained(bad); p.NodeID != -1 || p.Unit != -1 || !math.IsNaN(p.QE) {
 			t.Fatalf("dim mismatch RouteTrained = %+v", p)
 		}
 	}
@@ -77,15 +72,21 @@ func placementsBitIdentical(a, b Placement) bool {
 	return math.Float64bits(a.QE) == math.Float64bits(b.QE)
 }
 
-// TestCompiledRouteFlatParallelism verifies the batch descents are
-// positionally stable and identical to the per-row calls at every worker
-// bound (run under -race in CI, which also proves data-race freedom).
+// routePrecisions are the candidate-generation rungs the batch descent
+// is pinned across: the f64 expanded form and both quantized shadow
+// codebooks. Forcing a rung overrides GHSOM_BMU_PRECISION and auto's
+// size cutoff, so every node of a small test model takes that rung.
+var routePrecisions = []vecmath.Precision{vecmath.PrecisionF64, vecmath.PrecisionF32, vecmath.PrecisionI8}
+
+// TestCompiledRouteFlatParallelism verifies the batch descent is
+// positionally stable and identical to the tree walk at every worker
+// bound and candidate precision, for full batches and single-row
+// batches (run under -race in CI, which also proves data-race freedom).
 func TestCompiledRouteFlatParallelism(t *testing.T) {
 	g, data := compileTestModel(t, 3, 80)
-	c := Compile(g)
 	queries := queryMix(data, 4)
+	dim := g.Dim()
 	// Keep only dim-matched rows for the flat batch.
-	dim := c.Dim()
 	flat := make([]float64, 0, len(queries)*dim)
 	n := 0
 	for _, x := range queries {
@@ -98,30 +99,34 @@ func TestCompiledRouteFlatParallelism(t *testing.T) {
 	if err := g.RouteTrainedFlat(flat, n, want, 1); err != nil {
 		t.Fatal(err)
 	}
-	wantFull := make([]Placement, n)
-	if err := c.RouteFlat(flat, n, wantFull, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 3, 8, 0} {
-		got := make([]Placement, n)
-		if err := c.RouteTrainedFlat(flat, n, got, par); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !placementsBitIdentical(want[i], got[i]) {
-				t.Fatalf("par %d row %d: tree %+v, compiled %+v", par, i, want[i], got[i])
+	for _, prec := range routePrecisions {
+		t.Run(prec.String(), func(t *testing.T) {
+			c := Compile(g)
+			c.SetBMUPrecision(prec)
+			for _, par := range []int{1, 2, 3, 8, 0} {
+				got := make([]Placement, n)
+				if err := c.RouteTrainedFlat(flat, n, got, par); err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if !placementsBitIdentical(want[i], got[i]) {
+						t.Fatalf("par %d row %d: tree %+v, compiled %+v", par, i, want[i], got[i])
+					}
+				}
 			}
-		}
-		gotFull := make([]Placement, n)
-		if err := c.RouteFlat(flat, n, gotFull, par); err != nil {
-			t.Fatal(err)
-		}
-		for i := range gotFull {
-			if !placementsBitIdentical(wantFull[i], gotFull[i]) {
-				t.Fatalf("par %d row %d: RouteFlat differs across parallelism", par, i)
+			// Batches of one: every level's group is a single record.
+			one := make([]Placement, 1)
+			for i := 0; i < n; i++ {
+				if err := c.RouteTrainedFlat(flat[i*dim:(i+1)*dim], 1, one, 1); err != nil {
+					t.Fatal(err)
+				}
+				if !placementsBitIdentical(want[i], one[0]) {
+					t.Fatalf("n=1 row %d: tree %+v, compiled %+v", i, want[i], one[0])
+				}
 			}
-		}
+		})
 	}
+	c := Compile(g)
 	// Undersized inputs are rejected, not panics.
 	if err := c.RouteTrainedFlat(flat[:dim], 2, make([]Placement, 2), 1); err == nil {
 		t.Error("short flat accepted")
@@ -132,9 +137,6 @@ func TestCompiledRouteFlatParallelism(t *testing.T) {
 	// Empty batches are no-ops, like the tree walk.
 	if err := c.RouteTrainedFlat(nil, 0, nil, 1); err != nil {
 		t.Errorf("empty batch: %v", err)
-	}
-	if err := c.RouteFlat(nil, 0, nil, 1); err != nil {
-		t.Errorf("empty RouteFlat batch: %v", err)
 	}
 }
 

@@ -79,7 +79,6 @@ func FuzzReadCompiledBinary(f *testing.F) {
 			return
 		}
 		x := make([]float64, c.Dim())
-		_ = c.Route(x)
 		_ = c.RouteTrained(x)
 		_ = c.Stats()
 		if back, err := c.Decompile(); err == nil {

@@ -44,10 +44,10 @@ func (k UnitKey) String() string { return fmt.Sprintf("%d/%d", k.NodeID, k.Unit)
 // mismatch returns a Placement with QE = NaN.
 //
 // This is the pointer-tree reference walk. The serving hot path routes
-// through the compiled representation instead (Compile → Compiled.Route
-// and friends), which produces byte-identical placements from flat
-// tables; the tree walk remains the semantic baseline the compiled
-// kernels are equivalence-tested against.
+// through the compiled representation instead (Compile →
+// Compiled.RouteTrainedFlat), which produces placements byte-identical to
+// RouteTrained from flat tables; the tree walk remains the semantic
+// baseline the compiled descent is equivalence-tested against.
 func (g *GHSOM) Route(x []float64) Placement {
 	if len(x) != g.dim {
 		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}

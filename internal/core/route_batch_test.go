@@ -61,13 +61,13 @@ func nearTieModel(t *testing.T) *GHSOM {
 }
 
 // TestRouteTrainedFlatNearTies pins the blocked batch descent bitwise to
-// the scalar walks on the adversarial fixture, with enough distinct rows
-// per node group to force the GEMM path and duplicates to exercise the
-// dedup replay.
+// the tree walk on the adversarial fixture at every candidate precision,
+// with multi-row node groups that fill GEMM tiles, single-row batches
+// whose one-record groups take the same tile path, and duplicates to
+// exercise the dedup replay.
 func TestRouteTrainedFlatNearTies(t *testing.T) {
 	g := nearTieModel(t)
-	c := Compile(g)
-	dim := c.Dim()
+	dim := g.Dim()
 	rng := rand.New(rand.NewSource(17))
 
 	base := []float64{0.5, 0.25, 0.75, 0.125, 0.625, 0.375}
@@ -90,8 +90,8 @@ func TestRouteTrainedFlatNearTies(t *testing.T) {
 		}
 		rows = append(rows, r)
 	}
-	// A cloud of tiny perturbations around base: ≥ routeGemmMin distinct
-	// rows at the root and in child A, so the GEMM path engages.
+	// A cloud of tiny perturbations around base: many distinct rows at the
+	// root and in child A, so their groups span several tile rows.
 	for i := 0; i < 24; i++ {
 		r := make([]float64, dim)
 		for d := range r {
@@ -120,20 +120,35 @@ func TestRouteTrainedFlatNearTies(t *testing.T) {
 	}
 	n := len(rows)
 
-	for _, par := range []int{1, 2, 8, 0} {
-		got := make([]Placement, n)
-		if err := c.RouteTrainedFlat(flat, n, got, par); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range rows {
-			wantTree := g.RouteTrained(r)
-			wantCompiled := c.RouteTrained(r)
-			if !placementsBitIdentical(wantTree, wantCompiled) {
-				t.Fatalf("row %d: tree %+v != compiled per-record %+v", i, wantTree, wantCompiled)
+	for _, prec := range routePrecisions {
+		t.Run(prec.String(), func(t *testing.T) {
+			c := Compile(g)
+			c.SetBMUPrecision(prec)
+			for _, par := range []int{1, 2, 8, 0} {
+				got := make([]Placement, n)
+				if err := c.RouteTrainedFlat(flat, n, got, par); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rows {
+					wantTree := g.RouteTrained(r)
+					wantCompiled := c.RouteTrained(r)
+					if !placementsBitIdentical(wantTree, wantCompiled) {
+						t.Fatalf("row %d: tree %+v != compiled per-record %+v", i, wantTree, wantCompiled)
+					}
+					if !placementsBitIdentical(wantTree, got[i]) {
+						t.Fatalf("par %d row %d: batch %+v != tree %+v", par, i, got[i], wantTree)
+					}
+				}
 			}
-			if !placementsBitIdentical(wantTree, got[i]) {
-				t.Fatalf("par %d row %d: batch %+v != tree %+v", par, i, got[i], wantTree)
+			one := make([]Placement, 1)
+			for i, r := range rows {
+				if err := c.RouteTrainedFlat(r, 1, one, 1); err != nil {
+					t.Fatal(err)
+				}
+				if want := g.RouteTrained(r); !placementsBitIdentical(want, one[0]) {
+					t.Fatalf("n=1 row %d: batch %+v != tree %+v", i, one[0], want)
+				}
 			}
-		}
+		})
 	}
 }

@@ -415,8 +415,8 @@ func ReadCompiledBinary(r io.Reader) (*Compiled, error) {
 	}
 
 	// Payload tables, incremental like the headers. The derived tables
-	// (childIndex, probe lists, pruning tables) are only built once the
-	// whole payload has arrived.
+	// (childIndex, trained unit lists, norm and quantized tables) are only
+	// built once the whole payload has arrived.
 	c.counts, err = readInt64s(br, totalUnits)
 	if err != nil {
 		return nil, fmt.Errorf("core: read compiled counts: %w", err)

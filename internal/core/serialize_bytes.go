@@ -16,7 +16,7 @@ import (
 // take those tables as direct views of the mapping — no heap copy, no
 // page touched until routing first reads it, and every process serving
 // the same file sharing one physical copy. The small derived tables
-// (child index, probe order, pruning and norm tables) are rebuilt
+// (child index, trained unit lists, norm and quantized tables) are rebuilt
 // heap-side exactly as the streaming reader does, so routing on a
 // mapped model is byte-identical to routing on a heap-loaded one.
 

@@ -36,7 +36,7 @@ func RoutingAblation(enc *Encoded, seed int64) ([]DetectorResult, error) {
 		name string
 		q    anomaly.Quantizer
 	}{
-		{"ghsom-route-trained", anomaly.GHSOMQuantizer{Model: model}},
+		{"ghsom-route-trained", anomaly.NewGHSOMQuantizer(core.Compile(model))},
 		{"ghsom-route-all-units", fullRouteQuantizer{model: model}},
 	}
 	for _, v := range variants {
@@ -71,9 +71,10 @@ func MarginSweep(enc *Encoded, margins []float64, seed int64) ([]MarginRow, erro
 	if err != nil {
 		return nil, fmt.Errorf("eval: margin sweep train: %w", err)
 	}
+	q := anomaly.NewGHSOMQuantizer(core.Compile(model))
 	var rows []MarginRow
 	for _, margin := range margins {
-		det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, enc.TrainX, enc.TrainLabels,
+		det, err := anomaly.Fit(q, enc.TrainX, enc.TrainLabels,
 			anomaly.Config{NoveltyMargin: margin})
 		if err != nil {
 			return nil, fmt.Errorf("eval: margin %v: %w", margin, err)

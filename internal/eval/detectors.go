@@ -117,7 +117,7 @@ func RunGHSOM(enc *Encoded, mcfg core.Config, dcfg anomaly.Config) (DetectorResu
 	if err != nil {
 		return DetectorResult{}, nil, nil, fmt.Errorf("eval: train ghsom: %w", err)
 	}
-	det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, enc.TrainX, enc.TrainLabels, dcfg)
+	det, err := anomaly.Fit(anomaly.NewGHSOMQuantizer(core.Compile(model)), enc.TrainX, enc.TrainLabels, dcfg)
 	if err != nil {
 		return DetectorResult{}, nil, nil, fmt.Errorf("eval: fit ghsom detector: %w", err)
 	}

@@ -295,10 +295,9 @@ type BMUScratch struct {
 	scores []float64
 	norms  []float64
 
-	// Quantized candidate-generation working state (see
-	// ArgMinDistanceBatchQuant in quant.go): per-tile record codes /
-	// narrowed rows plus the per-row scale and residual-norm tables the
-	// int8 settle margin consumes.
+	// Quantized candidate-generation working state (see QuantDots in
+	// quant.go): per-tile record codes / narrowed rows plus the per-row
+	// scale and residual-norm tables the int8 settle margin consumes.
 	xq       []int8
 	x32      []float32
 	rowScale []float64

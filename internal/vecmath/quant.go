@@ -571,18 +571,6 @@ func (s *BMUScratch) ArgMinDistanceBatchQuant(x View, flat []float64, norms []fl
 		s.scores = make([]float64, tile*upad)
 	}
 	i8 := qa.prec == PrecisionI8
-	stride := qa.stride
-	if i8 {
-		if cap(s.xq) < tile*stride {
-			s.xq = make([]int8, tile*stride)
-		}
-		if cap(s.rowScale) < tile {
-			s.rowScale = make([]float64, tile)
-			s.rowResid = make([]float64, tile)
-		}
-	} else if cap(s.x32) < tile*stride {
-		s.x32 = make([]float32, tile*stride)
-	}
 	for lo := 0; lo < n; lo += tile {
 		hi := lo + tile
 		if hi > n {
@@ -591,32 +579,14 @@ func (s *BMUScratch) ArgMinDistanceBatchQuant(x View, flat []float64, norms []fl
 		sub := x.Slice(lo, hi)
 		rows := hi - lo
 		scores := s.scores[:rows*upad]
-		if i8 {
-			xq := s.xq[:tile*stride]
-			for i := 0; i < rows; i++ {
-				s.rowScale[i], s.rowResid[i] = QuantizeRecordQ8(sub.Row(i), xq[i*stride:i*stride+dim])
-				for j := i*stride + dim; j < (i+1)*stride; j++ {
-					xq[j] = 0 // zero the pad: scratch may be reused at another shape
-				}
-			}
-			qa.MulBatchQ8(xq[:rows*stride], rows, scores)
-		} else {
-			x32 := s.x32[:tile*stride]
-			for i := 0; i < rows; i++ {
-				NarrowRecord(sub.Row(i), x32[i*stride:i*stride+dim])
-				for j := i*stride + dim; j < (i+1)*stride; j++ {
-					x32[j] = 0
-				}
-			}
-			qa.MulBatchF32(x32[:rows*stride], rows, scores)
-		}
+		rowScale, rowResid := s.QuantDots(sub, qa, scores)
 		for i := 0; i < rows; i++ {
 			xi := sub.Row(i)
 			var best int
 			var bestVal float64
 			if i8 {
 				best, bestVal = settleRowQ8(xi, flat, norms, maxN, qa,
-					s.rowScale[i], s.rowResid[i], scores[i*upad:i*upad+units], dim, outDist != nil)
+					rowScale[i], rowResid[i], scores[i*upad:i*upad+units], dim, outDist != nil)
 			} else {
 				best, bestVal = settleRowF32(xi, flat, norms, maxN,
 					scores[i*upad:i*upad+units], dim, outDist != nil)
@@ -629,6 +599,47 @@ func (s *BMUScratch) ArgMinDistanceBatchQuant(x View, flat []float64, norms []fl
 			}
 		}
 	}
+}
+
+// QuantDots runs the reduced-precision dot step of quantized candidate
+// generation for the rows of x (one tile): each record row is quantized
+// to int8 codes or narrowed to float32 into the scratch, its pad lanes
+// zeroed (the scratch may have held another shape), and the arena's dot
+// block fills scores, which must have x.Rows()*qa.UnitsPadded() elements
+// (raw integer dots for int8, widened float32 dots otherwise). For the
+// int8 rung it also returns each row's quantization scale and residual
+// norm — the settle margin's inputs, valid until the next call on s —
+// and nil tables for float32. qa must be an int8 or float32 arena of
+// x.Dim()-wide rows.
+func (s *BMUScratch) QuantDots(x View, qa *QuantArena, scores []float64) (rowScale, rowResid []float64) {
+	rows, dim, stride := x.Rows(), qa.dim, qa.stride
+	if qa.prec != PrecisionI8 {
+		if cap(s.x32) < rows*stride {
+			s.x32 = make([]float32, rows*stride)
+		}
+		x32 := s.x32[:rows*stride]
+		for i := 0; i < rows; i++ {
+			NarrowRecord(x.Row(i), x32[i*stride:i*stride+dim])
+			clear(x32[i*stride+dim : (i+1)*stride])
+		}
+		qa.MulBatchF32(x32, rows, scores)
+		return nil, nil
+	}
+	if cap(s.xq) < rows*stride {
+		s.xq = make([]int8, rows*stride)
+	}
+	if cap(s.rowScale) < rows {
+		s.rowScale = make([]float64, rows)
+		s.rowResid = make([]float64, rows)
+	}
+	xq := s.xq[:rows*stride]
+	rowScale, rowResid = s.rowScale[:rows], s.rowResid[:rows]
+	for i := 0; i < rows; i++ {
+		rowScale[i], rowResid[i] = QuantizeRecordQ8(x.Row(i), xq[i*stride:i*stride+dim])
+		clear(xq[i*stride+dim : (i+1)*stride])
+	}
+	qa.MulBatchQ8(xq, rows, scores)
+	return rowScale, rowResid
 }
 
 // settleRowQ8 is settleRow for the int8 rung: raw integer dots in dots
