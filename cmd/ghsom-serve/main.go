@@ -289,9 +289,9 @@ func serveStdin(pipe *ghsom.Pipeline, maxBatch int, stdin io.Reader, stdout io.W
 	dec := kdd.NewRecordParser(bufio.NewReader(stdin))
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
-	enc := json.NewEncoder(out)
 	batch := make([]kdd.Record, 0, maxBatch)
 	var preds []ghsom.Prediction
+	var verdicts []byte
 	stats := stdinStats{start: time.Now()}
 	line := 0
 	flush := func() error {
@@ -307,10 +307,18 @@ func serveStdin(pipe *ghsom.Pipeline, maxBatch int, stdin io.Reader, stdout io.W
 		stats.batches++
 		stats.records += int64(len(batch))
 		stats.sumLatency += time.Since(start)
+		verdicts = verdicts[:0]
+		var encErr error
 		for i := range preds {
-			if err := enc.Encode(&preds[i]); err != nil {
-				return err
+			if verdicts, encErr = preds[i].AppendJSON(verdicts); encErr != nil {
+				break
 			}
+		}
+		if _, err := out.Write(verdicts); err != nil {
+			return err
+		}
+		if encErr != nil {
+			return encErr
 		}
 		batch = batch[:0]
 		return nil

@@ -93,18 +93,21 @@ func TestServeStdin(t *testing.T) {
 	if err := serveStdin(pipe, 64, bytes.NewReader(ndjson(t, eval)), &out); err != nil {
 		t.Fatal(err)
 	}
-	preds := decodePreds(t, &out)
-	want, err := pipe.DetectAll(eval)
+	// The wire contract is json.Encoder's bytes for what in-process
+	// DetectBatch returns.
+	preds, err := pipe.DetectBatch(eval, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(preds) != len(want) {
-		t.Fatalf("got %d predictions, want %d", len(preds), len(want))
-	}
-	for i := range preds {
-		if preds[i] != want[i] {
-			t.Fatalf("record %d: stdin %+v, direct %+v", i, preds[i], want[i])
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, p := range preds {
+		if err := enc.Encode(p); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatalf("stdin verdicts differ from json.Encoder over DetectBatch:\n got  %.400q\n want %.400q", out.Bytes(), want.Bytes())
 	}
 }
 

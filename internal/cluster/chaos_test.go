@@ -83,8 +83,8 @@ func wantBytes(t *testing.T, preds []ghsom.Prediction) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for i := range preds {
-		if err := enc.Encode(&preds[i]); err != nil {
+	for _, p := range preds {
+		if err := enc.Encode(p); err != nil {
 			t.Fatal(err)
 		}
 	}

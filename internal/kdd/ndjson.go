@@ -3,17 +3,20 @@ package kdd
 // Allocation-lean NDJSON record parsing: the legacy /detect wire format.
 //
 // encoding/json's Decoder costs several allocations and a reflection
-// walk per record, which at PR-5 detection rates makes the wire step
-// more expensive than the math. RecordParser keeps the generality of
-// the stream format (whitespace-separated JSON values, exactly like
-// json.Decoder) but parses the overwhelmingly common shape — a flat
-// object with exact Go field names, plain strings, plain numbers —
-// with a hand-rolled scanner that reuses one buffer and interns the
-// small categorical vocabularies, so the steady state allocates
-// nothing per record. Anything outside that shape (escaped strings,
-// case-folded or unknown keys, nested values, malformed numbers) falls
-// back to json.Unmarshal over the same bytes, so accepted inputs and
-// error behavior match the stock decoder.
+// walk per record, which makes the wire step more expensive than the
+// detection math. RecordParser keeps the generality of the stream
+// format (whitespace-separated JSON values, exactly like json.Decoder)
+// but parses the overwhelmingly common shape — a flat object with
+// exact Go field names, plain strings, plain numbers — in one pass,
+// straight out of its read buffer. It reuses that buffer and interns
+// the small categorical vocabularies, so the steady state allocates
+// nothing per record. A record cut off by the end of the buffered
+// bytes is parsed again from its first byte after a refill; records
+// are far smaller than a read, so that is rare. Anything outside the
+// fast shape (escaped or non-UTF-8 strings, control bytes, case-folded
+// or unknown keys, nested values, malformed numbers) falls back to
+// json.Unmarshal over the same value, so accepted inputs and error
+// behavior match the stock decoder.
 
 import (
 	"encoding/json"
@@ -21,6 +24,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // maxNDJSONRecordBytes caps one JSON value in the stream; a request
@@ -66,23 +70,39 @@ func (p *RecordParser) Next(rec *Record) error {
 	if err := p.skipSpace(); err != nil {
 		return err // io.EOF here is a clean end of stream
 	}
+	// One refill and restart covers a record straddling the end of the
+	// buffer. A record still cut off after that (a reader trickling
+	// small reads) is delimited incrementally by scanValue and parsed
+	// once more, so no record costs more than three parses however its
+	// bytes arrive.
+	for restarted := false; p.buf[p.pos] == '{'; restarted = true {
+		*rec = Record{}
+		n, st := p.parseObject(p.buf[p.pos:], rec)
+		if st == fastOK {
+			p.pos += n
+			return nil
+		}
+		if st == fastOut || p.eof || restarted {
+			break
+		}
+		if _, err := p.fill(); err != nil && err != io.EOF {
+			return err
+		}
+	}
 	val, err := p.scanValue()
 	if err != nil {
 		return err
 	}
 	*rec = Record{}
 	if val[0] == '{' {
-		if p.parseObjectFast(val, rec) {
+		if _, st := p.parseObject(val, rec); st == fastOK {
 			return nil
 		}
 		*rec = Record{}
 	}
 	// Fallback: bytes outside the fast shape go through the stock
 	// decoder for identical accept/reject behavior.
-	if err := json.Unmarshal(val, rec); err != nil {
-		return err
-	}
-	return nil
+	return json.Unmarshal(val, rec)
 }
 
 // fill discards the consumed prefix of the buffer and appends up to
@@ -104,8 +124,10 @@ func (p *RecordParser) fill() (int, error) {
 		return slid, fmt.Errorf("kdd: JSON record exceeds %d bytes", maxNDJSONRecordBytes)
 	}
 	start := len(p.buf)
-	if cap(p.buf) < start+ndjsonReadChunk {
-		grown := make([]byte, start, start+ndjsonReadChunk)
+	if cap(p.buf)-start < ndjsonReadChunk {
+		// Grow geometrically: a record near the size cap then costs a
+		// logarithmic number of reallocations, not one per chunk.
+		grown := make([]byte, start, max(2*cap(p.buf), start+ndjsonReadChunk))
 		copy(grown, p.buf)
 		p.buf = grown
 	}
@@ -247,68 +269,109 @@ func unexpectedEnd(err error) error {
 	return err
 }
 
-// parseObjectFast parses a flat Record object with exact field names.
-// It reports false — leaving rec partially written — whenever the input
-// steps outside the fast shape; the caller falls back to json.Unmarshal
-// over the same bytes.
-func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
-	i := 1 // past '{'
-	skip := func() {
-		for i < len(val) && isJSONSpace(val[i]) {
-			i++
-		}
+// fastStatus is the outcome of parsing a record in the fast shape.
+type fastStatus uint8
+
+const (
+	fastOK   fastStatus = iota // a whole record was parsed
+	fastMore                   // the bytes ended inside the record
+	fastOut                    // the bytes leave the fast shape
+)
+
+// parseObject parses a flat Record object with exact field names from
+// the head of b, which starts at '{', and returns the bytes consumed.
+// Unless it reports fastOK it leaves rec partially written: the caller
+// either reads more bytes and parses again (fastMore) or falls back to
+// json.Unmarshal over the same value.
+func (p *RecordParser) parseObject(b []byte, rec *Record) (int, fastStatus) {
+	i := skipSpaceAt(b, 1) // past '{'
+	if i >= len(b) {
+		return 0, fastMore
 	}
-	skip()
-	if i < len(val) && val[i] == '}' {
-		return i == len(val)-1
+	if b[i] == '}' {
+		return i + 1, fastOK
 	}
 	for {
-		skip()
-		if i >= len(val) || val[i] != '"' {
-			return false
+		if b[i] != '"' {
+			return 0, fastOut
 		}
-		// Key: plain string, no escapes.
-		i++
-		ks := i
-		for i < len(val) && val[i] != '"' && val[i] != '\\' {
-			i++
+		end, st := scanPlainString(b, i+1)
+		if st != fastOK {
+			return 0, st
 		}
-		if i >= len(val) || val[i] == '\\' {
-			return false
+		key := b[i+1 : end]
+		if i = skipSpaceAt(b, end+1); i >= len(b) {
+			return 0, fastMore
 		}
-		key := val[ks:i]
-		i++
-		skip()
-		if i >= len(val) || val[i] != ':' {
-			return false
+		if b[i] != ':' {
+			return 0, fastOut
 		}
-		i++
-		skip()
-		if i >= len(val) {
-			return false
+		if i = skipSpaceAt(b, i+1); i >= len(b) {
+			return 0, fastMore
 		}
-		if !p.assignField(key, val, &i, rec) {
-			return false
+		if i, st = p.assignField(key, b, i, rec); st != fastOK {
+			return 0, st
 		}
-		skip()
-		if i >= len(val) {
-			return false
+		if i = skipSpaceAt(b, i); i >= len(b) {
+			return 0, fastMore
 		}
-		switch val[i] {
+		switch b[i] {
 		case ',':
-			i++
+			if i = skipSpaceAt(b, i+1); i >= len(b) {
+				return 0, fastMore
+			}
 		case '}':
-			// Must be the last byte of the scanned value.
-			return i == len(val)-1
+			return i + 1, fastOK
 		default:
-			return false
+			return 0, fastOut
 		}
 	}
 }
 
-// assignField parses the value at val[*i] into the field named key.
-// Unknown keys, type mismatches, and out-of-shape values report false.
-func (p *RecordParser) assignField(key, val []byte, i *int, rec *Record) bool {
+func skipSpaceAt(b []byte, i int) int {
+	for i < len(b) && isJSONSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// scanPlainString returns the index of the closing quote of the string
+// whose body starts at b[i]. Strings json.Unmarshal would rewrite or
+// reject — escapes, control bytes, invalid UTF-8 — leave the fast shape.
+func scanPlainString(b []byte, i int) (int, fastStatus) {
+	start := i
+	var high byte
+	for ; i < len(b); i++ {
+		c := b[i]
+		if c == '"' {
+			if high >= utf8.RuneSelf && !utf8.Valid(b[start:i]) {
+				return 0, fastOut
+			}
+			return i, fastOK
+		}
+		if c == '\\' || c < 0x20 {
+			return 0, fastOut
+		}
+		high |= c
+	}
+	return 0, fastMore
+}
+
+// scanLiteral matches the JSON literal lit at b[i:].
+func scanLiteral(b []byte, i int, lit string) (int, fastStatus) {
+	if len(b)-i < len(lit) {
+		return 0, fastMore
+	}
+	if string(b[i:i+len(lit)]) != lit {
+		return 0, fastOut
+	}
+	return i + len(lit), fastOK
+}
+
+// assignField parses the value at b[i] into the field named key and
+// returns the index past it. Unknown keys, type mismatches, and
+// out-of-shape values report fastOut.
+func (p *RecordParser) assignField(key, b []byte, i int, rec *Record) (int, fastStatus) {
 	var fp *float64
 	var bp *bool
 	var sp *string
@@ -400,54 +463,39 @@ func (p *RecordParser) assignField(key, val []byte, i *int, rec *Record) bool {
 	default:
 		// Unknown key: json.Unmarshal would skip it case-insensitively
 		// or match a field case-folded — either way, not our fast shape.
-		return false
+		return 0, fastOut
 	}
 
 	// null leaves any field untouched, matching encoding/json.
-	if hasPrefix(val[*i:], "null") {
-		*i += 4
-		return true
+	if b[i] == 'n' {
+		return scanLiteral(b, i, "null")
 	}
 	switch {
 	case fp != nil:
-		v, n, ok := parseJSONNumber(val[*i:])
+		v, n, ok := parseJSONNumber(b[i:])
 		if !ok {
-			return false
+			return 0, fastOut
 		}
 		*fp = v
-		*i += n
-		return true
+		return i + n, fastOK
 	case bp != nil:
-		if hasPrefix(val[*i:], "true") {
+		if b[i] == 't' {
 			*bp = true
-			*i += 4
-			return true
+			return scanLiteral(b, i, "true")
 		}
-		if hasPrefix(val[*i:], "false") {
-			*bp = false
-			*i += 5
-			return true
-		}
-		return false
+		*bp = false
+		return scanLiteral(b, i, "false")
 	default:
-		if val[*i] != '"' {
-			return false
+		if b[i] != '"' {
+			return 0, fastOut
 		}
-		j := *i + 1
-		for j < len(val) && val[j] != '"' && val[j] != '\\' {
-			j++
+		end, st := scanPlainString(b, i+1)
+		if st != fastOK {
+			return 0, st
 		}
-		if j >= len(val) || val[j] == '\\' {
-			return false // escapes take the slow path
-		}
-		*sp = p.internString(val[*i+1 : j])
-		*i = j + 1
-		return true
+		*sp = p.internString(b[i+1 : end])
+		return end + 1, fastOK
 	}
-}
-
-func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
 }
 
 // internString returns a string for b, reusing a previously allocated

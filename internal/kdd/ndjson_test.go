@@ -26,9 +26,9 @@ func decodeRef(input string) ([]Record, error) {
 	}
 }
 
-// parseFast drains the input through RecordParser.
-func parseFast(input string) ([]Record, error) {
-	p := NewRecordParser(strings.NewReader(input))
+// parseFast drains r through RecordParser.
+func parseFast(r io.Reader) ([]Record, error) {
+	p := NewRecordParser(r)
 	var out []Record
 	for {
 		var rec Record
@@ -39,6 +39,22 @@ func parseFast(input string) ([]Record, error) {
 		}
 		out = append(out, rec)
 	}
+}
+
+// chunkReader yields at most n bytes per Read call, so refills land at
+// arbitrary points inside values.
+type chunkReader struct {
+	b []byte
+	n int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.n)], r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // recordsBitEqual compares records with float64 bit identity (so -0 vs 0
@@ -66,12 +82,13 @@ func recordsBitEqual(a, b []Record) bool {
 	return true
 }
 
-// checkParserEquivalence asserts RecordParser and json.Decoder agree on
-// input: same records bit-for-bit, and errors on the same record index.
-func checkParserEquivalence(t *testing.T, input string) {
+// checkParserEquivalence asserts RecordParser reading r and json.Decoder
+// reading input (the same bytes) agree: same records bit-for-bit, and
+// errors on the same record index.
+func checkParserEquivalence(t *testing.T, input string, r io.Reader) {
 	t.Helper()
 	want, wantErr := decodeRef(input)
-	got, gotErr := parseFast(input)
+	got, gotErr := parseFast(r)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("input %q:\n decoder err: %v\n parser err:  %v", input, wantErr, gotErr)
 	}
@@ -141,6 +158,13 @@ func ndjsonTestInputs() iter.Seq[string] {
 			`{"Duration": 1, "Duration": 2}`,
 			// Unicode in symbols.
 			`{"Service": "héttp", "Label": "日本語"}`,
+			// Strings json.Unmarshal rejects (raw control bytes) or
+			// rewrites (invalid UTF-8 becomes U+FFFD).
+			"{\"Service\": \"a\x01b\"}",
+			"{\"Service\": \"a\tb\"}",
+			"{\"Service\": \"a\xffb\", \"Label\": \"\xe6\x97\"}",
+			// A record straddling the parser's first refill edge.
+			strings.Repeat(" ", ndjsonReadChunk-20) + marshaled.String()[:2000],
 		}
 		for _, in := range inputs {
 			if !yield(in) {
@@ -152,49 +176,35 @@ func ndjsonTestInputs() iter.Seq[string] {
 
 func TestRecordParserMatchesJSONDecoder(t *testing.T) {
 	for input := range ndjsonTestInputs() {
-		checkParserEquivalence(t, input)
+		checkParserEquivalence(t, input, strings.NewReader(input))
 	}
 }
 
-// TestRecordParserSmallReads feeds the stream one byte at a time so
-// every refill/slide boundary inside scanValue is crossed mid-value.
+// TestRecordParserSmallReads feeds every input one byte at a time, so
+// every refill boundary is crossed mid-value, malformed values included.
 func TestRecordParserSmallReads(t *testing.T) {
-	records := columnarTestRecords(30)
+	for input := range ndjsonTestInputs() {
+		checkParserEquivalence(t, input, &chunkReader{b: []byte(input), n: 1})
+	}
+}
+
+// TestRecordParserRefillEdge cuts one record at every byte offset by the
+// first buffer refill, so each token kind — key, string, number,
+// literal, separator — is split by a refill at least once.
+func TestRecordParserRefillEdge(t *testing.T) {
+	records := columnarTestRecords(2)
+	records[0].Land, records[0].Duration = true, 0.30000000000000004
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := range records {
 		enc.Encode(&records[i])
 	}
-	p := NewRecordParser(iotest(buf.Bytes()))
-	var got []Record
-	for {
-		var rec Record
-		err := p.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		got = append(got, rec)
+	stream := buf.String()
+	first := strings.IndexByte(stream, '\n') + 1
+	for cut := 0; cut <= first; cut++ {
+		input := strings.Repeat(" ", ndjsonReadChunk-cut) + stream
+		checkParserEquivalence(t, input, strings.NewReader(input))
 	}
-	if !recordsBitEqual(records, got) {
-		t.Fatal("one-byte-at-a-time parse diverged")
-	}
-}
-
-// iotest returns a reader yielding one byte per Read call.
-func iotest(b []byte) io.Reader { return &oneByteReader{b: b} }
-
-type oneByteReader struct{ b []byte }
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	p[0] = r.b[0]
-	r.b = r.b[1:]
-	return 1, nil
 }
 
 // TestRecordParserLargeStreamBuffer checks the buffer does not grow with
@@ -239,6 +249,27 @@ func TestRecordParserOversizedRecord(t *testing.T) {
 	err := p.Next(&rec)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized record: err = %v, want size cap error", err)
+	}
+}
+
+// TestRecordParserLargeRecordAllocs bounds the buffer growth behind one
+// record near the size cap: growing geometrically takes a handful of
+// reallocations, where growing a chunk at a time took one per 32 KiB.
+func TestRecordParserLargeRecordAllocs(t *testing.T) {
+	const size = 900 << 10
+	input := `{"Service": "` + strings.Repeat("x", size) + `"}`
+	var rec Record
+	allocs := testing.AllocsPerRun(3, func() {
+		p := NewRecordParser(strings.NewReader(input))
+		if err := p.Next(&rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(rec.Service) != size {
+		t.Fatalf("parsed Service of %d bytes, want %d", len(rec.Service), size)
+	}
+	if allocs > 16 {
+		t.Fatalf("parsing a %d KiB record took %.0f allocations, want <= 16", size>>10, allocs)
 	}
 }
 
@@ -301,19 +332,17 @@ func TestReadRecordsNDJSONCapAndErrors(t *testing.T) {
 
 // FuzzRecordParserEquivalence cross-checks the fast parser against the
 // stock json.Decoder on arbitrary streams: identical records and
-// identical accept/reject decisions, never a panic.
+// identical accept/reject decisions, never a panic — whether the stream
+// arrives in one read, one byte per read, or in reads of 1+chunk bytes.
 func FuzzRecordParserEquivalence(f *testing.F) {
+	i := 0
 	for input := range ndjsonTestInputs() {
-		f.Add(input)
+		f.Add(input, uint16(i*37))
+		i++
 	}
-	f.Fuzz(func(t *testing.T, input string) {
-		want, wantErr := decodeRef(input)
-		got, gotErr := parseFast(input)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("decoder err %v vs parser err %v", wantErr, gotErr)
-		}
-		if !recordsBitEqual(want, got) {
-			t.Fatalf("records diverged:\n decoder: %+v\n parser:  %+v", want, got)
-		}
+	f.Fuzz(func(t *testing.T, input string, chunk uint16) {
+		checkParserEquivalence(t, input, strings.NewReader(input))
+		checkParserEquivalence(t, input, &chunkReader{b: []byte(input), n: 1})
+		checkParserEquivalence(t, input, &chunkReader{b: []byte(input), n: 1 + int(chunk)})
 	})
 }

@@ -322,7 +322,10 @@ func TestSwapUnderDrain(t *testing.T) {
 	}
 
 	// The full drain sequence (the same steps cmd/ghsom-serve runs on
-	// SIGTERM) concludes within grace.
+	// SIGTERM) concludes within grace. The client's idle connections are
+	// closed first: one it dialed but never sent a request on counts as
+	// active to Shutdown for 5 s, the whole grace here.
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Config.Shutdown(ctx); err != nil {

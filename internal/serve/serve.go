@@ -1045,12 +1045,32 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	_ = writeVerdicts(w, preds) // the response ends here either way
+}
+
+// verdictBufPool recycles the response buffers verdicts are encoded into.
+var verdictBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeVerdicts writes preds as NDJSON in one Write. A verdict that
+// cannot be encoded ends the output after the verdicts before it, as
+// per-record json.Encoder writes did, and its error is returned like a
+// failed write's (the client went away).
+func writeVerdicts(w io.Writer, preds []ghsom.Prediction) error {
+	bp := verdictBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	var encErr error
 	for i := range preds {
-		if err := enc.Encode(&preds[i]); err != nil {
-			return // client went away mid-response
+		if buf, encErr = preds[i].AppendJSON(buf); encErr != nil {
+			break
 		}
 	}
+	_, err := w.Write(buf)
+	*bp = buf
+	verdictBufPool.Put(bp)
+	if encErr != nil {
+		return encErr
+	}
+	return err
 }
 
 // handleDetectColumnar is the wire-format fast path: each GHSOMWB1 frame
@@ -1086,7 +1106,6 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, b.maxBody)
 	cb := columnarPool.Get().(*kdd.ColumnarBatch)
 	defer columnarPool.Put(cb)
-	enc := json.NewEncoder(w)
 	var preds []ghsom.Prediction
 	frames, total := 0, 0
 	fail := func(msg string, code int) {
@@ -1139,10 +1158,8 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
 		frames++
-		for i := range preds {
-			if err := enc.Encode(&preds[i]); err != nil {
-				return // client went away mid-response
-			}
+		if err := writeVerdicts(w, preds); err != nil {
+			return // client went away mid-response
 		}
 	}
 	if frames == 0 {

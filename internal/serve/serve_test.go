@@ -80,6 +80,37 @@ func ndjson(t *testing.T, recs []kdd.Record) []byte {
 }
 
 // decodePreds parses an NDJSON prediction stream.
+// verdictBytes renders preds as json.Encoder writes them, one document
+// per line: the wire contract /detect responses must match byte for byte.
+func verdictBytes(t *testing.T, preds []ghsom.Prediction) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, p := range preds {
+		if err := enc.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// checkVerdictBytes asserts a response body is exactly the json.Encoder
+// rendering of what in-process DetectBatch returns for recs.
+func checkVerdictBytes(t *testing.T, pipe *ghsom.Pipeline, recs []kdd.Record, body io.Reader) {
+	t.Helper()
+	got, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := pipe.DetectBatch(recs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := verdictBytes(t, preds); !bytes.Equal(got, want) {
+		t.Fatalf("response differs from json.Encoder over DetectBatch:\n got  %.400q\n want %.400q", got, want)
+	}
+}
+
 func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 	t.Helper()
 	dec := json.NewDecoder(r)
@@ -221,19 +252,7 @@ func TestHandleDetectHTTP(t *testing.T) {
 	if inst := resp.Header.Get(InstanceHeader); inst != "test-replica-1" {
 		t.Errorf("%s = %q, want test-replica-1", InstanceHeader, inst)
 	}
-	preds := decodePreds(t, resp.Body)
-	want, err := pipe.DetectAll(eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != len(want) {
-		t.Fatalf("got %d predictions, want %d", len(preds), len(want))
-	}
-	for i := range preds {
-		if preds[i] != want[i] {
-			t.Fatalf("record %d: http %+v, direct %+v", i, preds[i], want[i])
-		}
-	}
+	checkVerdictBytes(t, pipe, eval, resp.Body)
 
 	// Malformed and empty bodies are client errors.
 	for _, body := range []string{"", "{not json}"} {
@@ -579,10 +598,6 @@ func TestHandleDetectColumnar(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	want, err := pipe.DetectAll(eval)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Two frames in one body: predictions must stream out frame by frame
 	// in record order.
 	body := append(columnarBody(t, eval[:120]), columnarBody(t, eval[120:])...)
@@ -598,15 +613,7 @@ func TestHandleDetectColumnar(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("response Content-Type = %q", ct)
 	}
-	preds := decodePreds(t, resp.Body)
-	if len(preds) != len(want) {
-		t.Fatalf("got %d predictions, want %d", len(preds), len(want))
-	}
-	for i := range preds {
-		if preds[i] != want[i] {
-			t.Fatalf("record %d: columnar %+v, direct %+v", i, preds[i], want[i])
-		}
-	}
+	checkVerdictBytes(t, pipe, eval, resp.Body)
 
 	// Structurally broken frames and empty bodies are client errors.
 	for _, bad := range [][]byte{nil, []byte("GHSOMWB1 not a frame"), body[:len(body)-5]} {
